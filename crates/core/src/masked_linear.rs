@@ -231,32 +231,6 @@ impl MaskedLinear {
     /// Returns an error for a subnet index out of range or an input of the
     /// wrong width.
     pub fn forward_packed(&mut self, input: &Tensor, subnet: usize) -> Result<Tensor> {
-        self.packed_pass(input, subnet)
-    }
-
-    /// Packed forward pass that **does** populate the backward cache, so a
-    /// training step can route through the compiled panel GEMM and still
-    /// backpropagate exactly as after a masked forward. Legal because the
-    /// packed result equals the masked result under `f32 ==` (the plan
-    /// bit-identity guarantee), so the cached `(input, z)` pair — and every
-    /// gradient derived from it — is bit-unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for a subnet index out of range or an input of the
-    /// wrong width.
-    pub fn forward_train_packed(&mut self, input: &Tensor, subnet: usize) -> Result<Tensor> {
-        let z = self.packed_pass(input, subnet)?;
-        self.cached = Some(CachedForward {
-            input: input.clone(),
-            z: z.clone(),
-            subnet,
-        });
-        Ok(z)
-    }
-
-    /// Shared packed full pass (no cache bookkeeping).
-    fn packed_pass(&mut self, input: &Tensor, subnet: usize) -> Result<Tensor> {
         let i_n = self.in_features();
         if input.shape().rank() != 2 || input.shape().dims()[1] != i_n {
             return Err(SteppingError::InvalidStructure(format!(

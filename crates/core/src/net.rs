@@ -39,9 +39,6 @@ pub struct SteppingNet {
     input_shape: Shape,
     feature_assign: Assignment,
     last_subnet: Option<usize>,
-    /// Route training-mode forwards of masked linear stages through their
-    /// compiled packed panels (see [`SteppingNet::set_train_packed`]).
-    train_packed: bool,
     /// Compiled packed head panels per subnet, dropped whenever head
     /// weights or the feature assignment change (see [`crate::plan`]).
     head_plans: PlanSet<HeadPlan>,
@@ -270,13 +267,8 @@ impl SteppingNet {
             });
         }
         let mut x = input.clone();
-        let packed = train && self.train_packed;
         for stage in &mut self.stages {
-            x = if packed {
-                stage.forward_train_packed(&x, subnet)?
-            } else {
-                stage.forward(&x, subnet, train)?
-            };
+            x = stage.forward(&x, subnet, train)?;
         }
         if x.shape().rank() != 2 || x.shape().dims()[1] != self.feature_assign.len() {
             return Err(SteppingError::InvalidStructure(format!(
@@ -668,21 +660,6 @@ impl SteppingNet {
                 p.zero_grad();
             }
         }
-    }
-
-    /// Whether training-mode forwards go through compiled packed panels for
-    /// stages that support it (currently masked linear stages; every other
-    /// stage keeps the masked reference path). Off by default.
-    pub fn train_packed(&self) -> bool {
-        self.train_packed
-    }
-
-    /// Enables or disables packed training-mode forwards (see
-    /// [`SteppingNet::train_packed`]). The packed path produces bit-identical
-    /// activations (`f32 ==`) and populates the same backward caches, so
-    /// gradients are unchanged.
-    pub fn set_train_packed(&mut self, on: bool) {
-        self.train_packed = on;
     }
 
     /// Snapshots the gradients of every parameter trained for `subnet`, in
@@ -1182,7 +1159,6 @@ impl SteppingNetBuilder {
             input_shape: self.input_shape,
             feature_assign: Assignment::new(features, self.subnets),
             last_subnet: None,
-            train_packed: false,
             head_plans: PlanSet::default(),
             head_scratch: PackScratch::new(),
             flow_scratch: PackScratch::new(),

@@ -14,7 +14,7 @@
 //!
 //! Panels keep surviving terms in ascending index order and run the blocked
 //! NT microkernel (`stepping_tensor::microkernel`), whose per-element
-//! accumulation order is identical to the reference `nt_kernel`, and
+//! accumulation order is identical to the masked path's `matmul_bt`, and
 //! per-row entries that are *legal at the subnet but illegal for that
 //! particular row* (`assign(in) > assign(out)`) are stored as `0.0`,
 //! mirroring `effective_weight`. The only dropped terms are products with

@@ -152,24 +152,6 @@ impl Stage {
         }
     }
 
-    /// Training-mode forward that routes masked linear stages through their
-    /// compiled packed panels ([`MaskedLinear::forward_train_packed`]) while
-    /// still populating the backward caches. Conv and fixed stages fall back
-    /// to [`Stage::forward`] — a packed conv pass would not produce the
-    /// `im2col` buffer its backward needs. Results equal [`Stage::forward`]
-    /// under `f32 ==` (the plan bit-identity guarantee), so gradients are
-    /// bit-unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer errors.
-    pub fn forward_train_packed(&mut self, x: &Tensor, subnet: usize) -> Result<Tensor> {
-        match self {
-            Stage::Linear(l) => l.forward_train_packed(x, subnet),
-            _ => self.forward(x, subnet, true),
-        }
-    }
-
     /// Whether train-mode forwards of this stage are row-independent and
     /// free of cross-batch state, i.e. safe to run on sharded sub-batches:
     /// batch-norm (batch statistics) and dropout (an RNG stream) are not.

@@ -114,60 +114,49 @@ impl ConvGeometry {
 /// Unfolds NCHW input into the `im2col` patch matrix.
 ///
 /// Output shape: `[batch * out_h * out_w, patch_len]`; rows are ordered
-/// batch-major, then row-major over output positions.
+/// batch-major, then row-major over output positions. This is
+/// [`im2col_channels_into`](crate::pack::im2col_channels_into) over every
+/// input channel.
 ///
 /// # Errors
 ///
 /// Returns a shape error when the input is not `[n, c, h, w]` matching `geom`.
 pub fn im2col(input: &Tensor, geom: &ConvGeometry) -> Result<Tensor> {
-    let dims = input.shape().dims();
-    if dims.len() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: dims.len(),
-        });
+    let channels: Vec<usize> = (0..geom.in_channels).collect();
+    let mut cols = Vec::new();
+    crate::pack::im2col_channels_into(input, geom, &channels, &mut cols)?;
+    let rows = input.shape().dims()[0] * geom.positions();
+    Tensor::from_vec(Shape::of(&[rows, geom.patch_len()]), cols)
+}
+
+/// The offsets `lo..hi` of a `window` starting at `start` (negative inside
+/// the padding) that land inside `0..len`; empty when none do.
+pub(crate) fn in_bounds(start: isize, window: usize, len: usize) -> (usize, usize) {
+    let lo = (-start).clamp(0, window as isize) as usize;
+    let hi = (len as isize - start).clamp(lo as isize, window as isize) as usize;
+    (lo, hi)
+}
+
+/// Copies one in-bounds kernel row of an `im2col` window. The square
+/// kernels of the workspace's models (3 and 5 wide) get fixed-size copies,
+/// which compile to a few register moves instead of a `memcpy` call per
+/// run; other widths use `copy_from_slice` as is.
+#[inline(always)]
+pub(crate) fn copy_run(dst: &mut [f32], src: &[f32]) {
+    fn fixed<const N: usize>(dst: &mut [f32], src: &[f32]) {
+        let dst: &mut [f32; N] = dst.try_into().expect("run length matched");
+        dst.copy_from_slice(&src[..N]);
     }
-    let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-    if c != geom.in_channels || h != geom.in_h || w != geom.in_w {
-        return Err(TensorError::ShapeMismatch {
-            expected: Shape::of(&[n, geom.in_channels, geom.in_h, geom.in_w]),
-            actual: input.shape().clone(),
-        });
+    match dst.len() {
+        3 => fixed::<3>(dst, src),
+        5 => fixed::<5>(dst, src),
+        _ => dst.copy_from_slice(src),
     }
-    let patch = geom.patch_len();
-    let rows = n * geom.positions();
-    let mut out = Tensor::zeros(Shape::of(&[rows, patch]));
-    let src = input.data();
-    let dst = out.data_mut();
-    let pad = geom.padding as isize;
-    for b in 0..n {
-        for oy in 0..geom.out_h {
-            for ox in 0..geom.out_w {
-                let row = (b * geom.positions() + oy * geom.out_w + ox) * patch;
-                let iy0 = (oy * geom.stride) as isize - pad;
-                let ix0 = (ox * geom.stride) as isize - pad;
-                let mut col = 0;
-                for ch in 0..c {
-                    let base = (b * c + ch) * h * w;
-                    for ky in 0..geom.kernel_h {
-                        let iy = iy0 + ky as isize;
-                        for kx in 0..geom.kernel_w {
-                            let ix = ix0 + kx as isize;
-                            if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
-                                dst[row + col] = src[base + iy as usize * w + ix as usize];
-                            }
-                            col += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(out)
 }
 
 /// Folds an `im2col` patch-gradient matrix back onto the NCHW input gradient
-/// (the adjoint of [`im2col`]); overlapping patches accumulate.
+/// (the adjoint of [`im2col`]); overlapping patches accumulate in patch-row
+/// order.
 ///
 /// # Errors
 ///
@@ -183,27 +172,32 @@ pub fn col2im(cols: &Tensor, batch: usize, geom: &ConvGeometry) -> Result<Tensor
         });
     }
     let (c, h, w) = (geom.in_channels, geom.in_h, geom.in_w);
+    let (kh, kw) = (geom.kernel_h, geom.kernel_w);
     let mut out = Tensor::zeros(Shape::of(&[batch, c, h, w]));
-    let src = cols.data();
+    if patch == 0 {
+        return Ok(out);
+    }
     let dst = out.data_mut();
     let pad = geom.padding as isize;
+    let mut patches = cols.data().chunks_exact(patch);
     for b in 0..batch {
         for oy in 0..geom.out_h {
+            let iy0 = (oy * geom.stride) as isize - pad;
+            let (ky_lo, ky_hi) = in_bounds(iy0, kh, h);
             for ox in 0..geom.out_w {
-                let row = (b * geom.positions() + oy * geom.out_w + ox) * patch;
-                let iy0 = (oy * geom.stride) as isize - pad;
                 let ix0 = (ox * geom.stride) as isize - pad;
-                let mut col = 0;
-                for ch in 0..c {
-                    let base = (b * c + ch) * h * w;
-                    for ky in 0..geom.kernel_h {
-                        let iy = iy0 + ky as isize;
-                        for kx in 0..geom.kernel_w {
-                            let ix = ix0 + kx as isize;
-                            if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
-                                dst[base + iy as usize * w + ix as usize] += src[row + col];
-                            }
-                            col += 1;
+                let (lo, hi) = in_bounds(ix0, kw, w);
+                let row = patches.next().expect("row count checked above");
+                if lo == hi {
+                    continue;
+                }
+                for (ch, window) in row.chunks_exact(kh * kw).enumerate() {
+                    let plane = &mut dst[(b * c + ch) * h * w..(b * c + ch + 1) * h * w];
+                    for ky in ky_lo..ky_hi {
+                        let run = &window[ky * kw + lo..ky * kw + hi];
+                        let start = (iy0 + ky as isize) as usize * w + (ix0 + lo as isize) as usize;
+                        for (d, &v) in plane[start..start + hi - lo].iter_mut().zip(run) {
+                            *d += v;
                         }
                     }
                 }

@@ -7,10 +7,11 @@
 //!
 //! * [`Shape`] — n-dimensional extents with row-major strides,
 //! * [`Tensor`] — owned, contiguous, row-major `f32` storage,
-//! * [`matmul`] — matrix multiplication with transpose variants (the
-//!   masked-reference kernels),
+//! * [`matmul`] — matrix multiplication with transpose variants, behind
+//!   every training forward and backward,
 //! * [`microkernel`] — the blocked, register-tiled GEMM behind the packed
-//!   inference paths (bit-identical to the reference kernels),
+//!   inference paths and [`matmul`]'s `A · Bᵀ` products (bit-identical to
+//!   a scalar reference),
 //! * [`conv`] — `im2col`/`col2im` based 2-D convolution kernels,
 //! * [`reduce`] — reductions (sum/mean/max/argmax/softmax, per-axis),
 //! * [`init`] — deterministic random initialisers (uniform, normal,
@@ -43,6 +44,9 @@ pub mod matmul;
 pub mod microkernel;
 pub mod pack;
 pub mod reduce;
+#[cfg(test)]
+#[path = "../tests/reference/mod.rs"]
+mod reference;
 mod shape;
 mod tensor;
 

@@ -1,65 +1,38 @@
-//! Blocked matrix multiplication kernels.
+//! Matrix multiplication with transpose variants.
 //!
-//! These are the hot loops behind every [`Linear`](../../stepping_nn) layer
-//! and the `im2col` formulation of convolution. All kernels operate on
-//! rank-2 [`Tensor`]s and are cache-blocked over the inner dimension.
+//! These are the kernels behind every [`Linear`](../../stepping_nn) layer,
+//! the `im2col` formulation of convolution, and the masked training
+//! forwards and backwards. All kernels operate on rank-2 [`Tensor`]s.
 //!
 //! One general kernel, [`gemm`], handles every transpose combination via a
 //! [`GemmSpec`]; the historical entry points [`matmul`], [`matmul_bt`] and
 //! [`matmul_at`] are documented thin wrappers kept for their
-//! self-explanatory names. Each transpose combination preserves the exact
-//! loop structure (and therefore the exact floating-point rounding) of the
-//! original per-function kernels — the incremental-property tests depend on
-//! bit-identical results.
+//! self-explanatory names.
 //!
-//! These are the *masked-reference* kernels: they serve the full-width
-//! masked paths (where operands are mostly zero, so the `nn`/`tn` kernels
-//! keep their `if aik == 0.0` skip) and act as the oracle the blocked
-//! [`microkernel`](crate::microkernel) — which has no zero-skip, because
-//! packed panels are dense by construction — is property-tested against.
+//! ## Dispatch
+//!
+//! * `A · Bᵀ` with at least [`MR`] rows, and every `Aᵀ · Bᵀ`, runs the
+//!   blocked, register-tiled [`microkernel`](crate::microkernel) with `B`
+//!   packed per call.
+//! * `A · Bᵀ` with fewer than [`MR`] rows streams one dot product per
+//!   element: at one row, packing `B` costs more than the tile saves (see
+//!   `docs/PERFORMANCE.md`).
+//! * `A · B` and `Aᵀ · B` keep outer-product loops that skip zero `A`
+//!   entries: in training they multiply masked gradients, which after ReLU
+//!   and max-pool are mostly zeros.
+//!
+//! Every path accumulates each output element sequentially in `k` from
+//! `+0.0`, one `acc += a·b` rounding step per term, so the dispatch never
+//! changes a result (`f32 ==`; see the microkernel module docs). No kernel
+//! here spawns threads: data parallelism belongs to the `stepping-exec`
+//! shards that call these kernels.
 
+use crate::microkernel::{gemm_blocked, MR};
 use crate::{Result, Shape, Tensor, TensorError};
 
-/// Cache block size (elements) for the k-loop; tuned for L1-resident panels.
+/// Cache block size (elements) for the `A · B` k-loop; tuned for
+/// L1-resident panels.
 const BLOCK: usize = 64;
-
-/// Below this many multiply-adds a product stays single-threaded (thread
-/// spawn overhead would dominate).
-const PARALLEL_FLOP_THRESHOLD: usize = 4_000_000;
-
-/// Number of worker threads for large products.
-fn worker_count(rows: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(rows)
-        .min(8)
-}
-
-/// Runs `kernel` over disjoint row chunks of `out`, in parallel when the
-/// problem is big enough. `kernel(row_offset, out_rows)` must fill the given
-/// rows only.
-fn par_rows<F>(out: &mut [f32], rows: usize, row_width: usize, flops: usize, kernel: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    let workers = if flops >= PARALLEL_FLOP_THRESHOLD {
-        worker_count(rows)
-    } else {
-        1
-    };
-    if workers <= 1 || rows == 0 {
-        kernel(0, out);
-        return;
-    }
-    let chunk_rows = rows.div_ceil(workers);
-    std::thread::scope(|s| {
-        for (ci, chunk) in out.chunks_mut(chunk_rows * row_width).enumerate() {
-            let kernel = &kernel;
-            s.spawn(move || kernel(ci * chunk_rows, chunk));
-        }
-    });
-}
 
 fn check2(t: &Tensor) -> Result<(usize, usize)> {
     if t.shape().rank() != 2 {
@@ -144,6 +117,32 @@ impl GemmSpec {
 /// # Ok::<(), stepping_tensor::TensorError>(())
 /// ```
 pub fn gemm(a: &Tensor, b: &Tensor, spec: GemmSpec) -> Result<Tensor> {
+    let (m, k, n) = gemm_dims(a, b, spec)?;
+    let (ad, bd) = (a.data(), b.data());
+    let out = match (spec.trans_a, spec.trans_b) {
+        (false, false) => {
+            let mut out = Tensor::zeros(Shape::of(&[m, n]));
+            nn_kernel(ad, bd, out.data_mut(), m, k, n);
+            out
+        }
+        (false, true) if m < MR => nt_stream(ad, bd, m, k, n),
+        (true, false) => {
+            let mut out = Tensor::zeros(Shape::of(&[m, n]));
+            tn_kernel(ad, bd, out.data_mut(), m, k, n);
+            out
+        }
+        (_, true) => gemm_blocked(a, b, spec)?,
+    };
+    Ok(out)
+}
+
+/// The `(m, k, n)` extents of `op(A) · op(B)` per `spec`.
+///
+/// # Errors
+///
+/// Returns [`TensorError::RankMismatch`] for non-matrices and
+/// [`TensorError::InnerDimMismatch`] if the inner dimensions disagree.
+pub(crate) fn gemm_dims(a: &Tensor, b: &Tensor, spec: GemmSpec) -> Result<(usize, usize, usize)> {
     let (a0, a1) = check2(a)?;
     let (b0, b1) = check2(b)?;
     let (m, ka) = if spec.trans_a { (a1, a0) } else { (a0, a1) };
@@ -154,94 +153,33 @@ pub fn gemm(a: &Tensor, b: &Tensor, spec: GemmSpec) -> Result<Tensor> {
             right: kb,
         });
     }
-    let (ad, bd) = (a.data(), b.data());
-    // NN/TN accumulate into the output (and skip zero A entries), so they
-    // need a zeroed buffer; serial NT/TT write every element exactly once
-    // in row-major order and stream into unfilled storage instead. The
-    // parallel NT path keeps the zeroed buffer: disjoint row chunks need
-    // initialised storage to split safely.
-    let out = match (spec.trans_a, spec.trans_b) {
-        (false, false) => {
-            let mut out = Tensor::zeros(Shape::of(&[m, n]));
-            nn_kernel(ad, bd, out.data_mut(), m, ka, n);
-            out
-        }
-        (false, true) => {
-            if m * ka * n >= PARALLEL_FLOP_THRESHOLD && worker_count(m) > 1 {
-                let mut out = Tensor::zeros(Shape::of(&[m, n]));
-                nt_kernel(ad, bd, out.data_mut(), m, ka, n);
-                out
-            } else {
-                nt_stream(ad, bd, m, ka, n)
-            }
-        }
-        (true, false) => {
-            let mut out = Tensor::zeros(Shape::of(&[m, n]));
-            tn_kernel(ad, bd, out.data_mut(), m, ka, n);
-            out
-        }
-        (true, true) => tt_stream(ad, bd, m, ka, n),
-    };
-    Ok(out)
+    Ok((m, ka, n))
 }
 
-/// `C = A · B`: k-blocked, row-parallel, skipping zero `A` entries.
+/// `C = A · B`: k-blocked outer products, skipping zero `A` entries.
 fn nn_kernel(ad: &[f32], bd: &[f32], od: &mut [f32], m: usize, ka: usize, n: usize) {
-    par_rows(od, m, n, m * ka * n, |row0, chunk| {
-        let rows = chunk.len() / n;
-        for k0 in (0..ka).step_by(BLOCK) {
-            let k1 = (k0 + BLOCK).min(ka);
-            for r in 0..rows {
-                let i = row0 + r;
-                let arow = &ad[i * ka..(i + 1) * ka];
-                let orow = &mut chunk[r * n..(r + 1) * n];
-                for k in k0..k1 {
-                    let aik = arow[k];
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let brow = &bd[k * n..(k + 1) * n];
-                    for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                        *o += aik * bv;
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// `C = A · Bᵀ`: both operands row-major over `k`, dot-product form.
-///
-/// `pub(crate)` so the [`pack`](crate::pack) module can run packed panels
-/// through the exact same loop (and therefore the exact same rounding) as
-/// [`matmul_bt`].
-pub(crate) fn nt_kernel(ad: &[f32], bd: &[f32], od: &mut [f32], m: usize, ka: usize, n: usize) {
-    if m == 0 || n == 0 {
-        // packed panels may be degenerate (a subnet with no active outputs)
-        return;
-    }
-    par_rows(od, m, n, m * ka * n, |row0, chunk| {
-        let rows = chunk.len() / n;
-        for r in 0..rows {
-            let i = row0 + r;
+    for k0 in (0..ka).step_by(BLOCK) {
+        let k1 = (k0 + BLOCK).min(ka);
+        for i in 0..m {
             let arow = &ad[i * ka..(i + 1) * ka];
-            for j in 0..n {
-                let brow = &bd[j * ka..(j + 1) * ka];
-                let mut acc = 0.0f32;
-                for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                    acc += av * bv;
+            let orow = &mut od[i * n..(i + 1) * n];
+            for k in k0..k1 {
+                let aik = arow[k];
+                if aik == 0.0 {
+                    continue;
                 }
-                chunk[r * n + j] = acc;
+                let brow = &bd[k * n..(k + 1) * n];
+                for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
+                    *o += aik * bv;
+                }
             }
         }
-    });
+    }
 }
 
-/// Serial [`nt_kernel`] streaming into unfilled storage: the dot-product
-/// form writes each output element exactly once, in strictly ascending
-/// row-major order, so the result `Vec` is built by `push` instead of
-/// zero-filling `m * n` floats first. Arithmetic (and therefore rounding)
-/// is identical to [`nt_kernel`] term for term.
+/// `C = A · Bᵀ` for a few rows: one dot product per element, both operands
+/// row-major over `k`. The result `Vec` is built by `push` in row-major
+/// order instead of zero-filling `m * n` floats first.
 fn nt_stream(ad: &[f32], bd: &[f32], m: usize, ka: usize, n: usize) -> Tensor {
     let mut data = Vec::with_capacity(m * n);
     for i in 0..m {
@@ -274,24 +212,6 @@ fn tn_kernel(ad: &[f32], bd: &[f32], od: &mut [f32], m: usize, ka: usize, n: usi
             }
         }
     }
-}
-
-/// `C = Aᵀ · Bᵀ`: column gather on `A`, strided reads on `B`. Streams into
-/// unfilled storage — each element is written exactly once in row-major
-/// order, so no zero-fill is needed.
-fn tt_stream(ad: &[f32], bd: &[f32], m: usize, ka: usize, n: usize) -> Tensor {
-    let mut data = Vec::with_capacity(m * n);
-    for i in 0..m {
-        for j in 0..n {
-            let brow = &bd[j * ka..(j + 1) * ka];
-            let mut acc = 0.0f32;
-            for (k, &bv) in brow.iter().enumerate() {
-                acc += ad[k * m + i] * bv;
-            }
-            data.push(acc);
-        }
-    }
-    Tensor::from_vec(Shape::of(&[m, n]), data).expect("extent matches shape")
 }
 
 /// `C = A · B` for `A: [m, k]`, `B: [k, n]`.
@@ -451,124 +371,36 @@ mod tests {
         assert!(matmul(&a, &v).is_err());
     }
 
+    /// Every spec, with row counts on both sides of the blocked kernel's
+    /// `MR` dispatch boundary, equals the scalar reference bit for bit.
     #[test]
-    fn parallel_path_matches_serial() {
-        // big enough to cross PARALLEL_FLOP_THRESHOLD
-        let a = seq(&[300, 200]);
-        let b = seq(&[200, 100]);
-        let big = matmul(&a, &b).unwrap();
-        let slow = naive(&a, &b);
-        for (x, y) in big.data().iter().zip(slow.data().iter()) {
-            assert!((x - y).abs() < (y.abs() * 1e-4).max(1e-2), "{x} vs {y}");
-        }
-        let bt_b = seq(&[100, 200]);
-        let bt = matmul_bt(&a, &bt_b).unwrap();
-        let via = matmul(&a, &bt_b.transpose2().unwrap()).unwrap();
-        assert_eq!(bt, via);
-    }
-
-    /// The pre-`gemm` `matmul` kernel, kept verbatim as a reference.
-    fn old_matmul(a: &Tensor, b: &Tensor) -> Tensor {
-        let (m, ka) = (a.shape().dims()[0], a.shape().dims()[1]);
-        let n = b.shape().dims()[1];
-        let mut out = Tensor::zeros(Shape::of(&[m, n]));
-        let (ad, bd) = (a.data(), b.data());
-        let od = out.data_mut();
-        par_rows(od, m, n, m * ka * n, |row0, chunk| {
-            let rows = chunk.len() / n;
-            for k0 in (0..ka).step_by(BLOCK) {
-                let k1 = (k0 + BLOCK).min(ka);
-                for r in 0..rows {
-                    let i = row0 + r;
-                    let arow = &ad[i * ka..(i + 1) * ka];
-                    let orow = &mut chunk[r * n..(r + 1) * n];
-                    for k in k0..k1 {
-                        let aik = arow[k];
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        let brow = &bd[k * n..(k + 1) * n];
-                        for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                            *o += aik * bv;
-                        }
-                    }
-                }
+    fn gemm_bit_identical_to_scalar_reference() {
+        for &(m, k, n) in &[
+            (1usize, 5usize, 4usize),
+            (MR - 1, 70, 9),
+            (MR, 70, 9),
+            (MR + 1, 300, 17),
+            (300, 200, 100),
+        ] {
+            for spec in [GemmSpec::NN, GemmSpec::NT, GemmSpec::TN, GemmSpec::TT] {
+                let mut rng = crate::init::rng((m * k * n) as u64);
+                let a_dims = if spec.trans_a { [k, m] } else { [m, k] };
+                let b_dims = if spec.trans_b { [n, k] } else { [k, n] };
+                let a = crate::init::uniform(Shape::of(&a_dims), -2.0, 2.0, &mut rng);
+                let b = crate::init::uniform(Shape::of(&b_dims), -2.0, 2.0, &mut rng);
+                let want = crate::reference::gemm(
+                    a.data(),
+                    spec.trans_a,
+                    b.data(),
+                    spec.trans_b,
+                    (m, k, n),
+                );
+                assert_eq!(
+                    gemm(&a, &b, spec).unwrap().data(),
+                    want.as_slice(),
+                    "{spec:?} {m}x{k}x{n}"
+                );
             }
-        });
-        out
-    }
-
-    /// The pre-`gemm` `matmul_bt` kernel, kept verbatim as a reference.
-    fn old_matmul_bt(a: &Tensor, b: &Tensor) -> Tensor {
-        let (m, ka) = (a.shape().dims()[0], a.shape().dims()[1]);
-        let n = b.shape().dims()[0];
-        let mut out = Tensor::zeros(Shape::of(&[m, n]));
-        let (ad, bd) = (a.data(), b.data());
-        let od = out.data_mut();
-        par_rows(od, m, n, m * ka * n, |row0, chunk| {
-            let rows = chunk.len() / n;
-            for r in 0..rows {
-                let i = row0 + r;
-                let arow = &ad[i * ka..(i + 1) * ka];
-                for j in 0..n {
-                    let brow = &bd[j * ka..(j + 1) * ka];
-                    let mut acc = 0.0f32;
-                    for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                        acc += av * bv;
-                    }
-                    chunk[r * n + j] = acc;
-                }
-            }
-        });
-        out
-    }
-
-    /// The pre-`gemm` `matmul_at` kernel, kept verbatim as a reference.
-    fn old_matmul_at(a: &Tensor, b: &Tensor) -> Tensor {
-        let (ka, m) = (a.shape().dims()[0], a.shape().dims()[1]);
-        let n = b.shape().dims()[1];
-        let mut out = Tensor::zeros(Shape::of(&[m, n]));
-        let (ad, bd) = (a.data(), b.data());
-        let od = out.data_mut();
-        for k in 0..ka {
-            let arow = &ad[k * m..(k + 1) * m];
-            let brow = &bd[k * n..(k + 1) * n];
-            for (i, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let orow = &mut od[i * n..(i + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                    *o += av * bv;
-                }
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn wrappers_bit_identical_to_old_kernels() {
-        // small (serial) and large (parallel-path) problem sizes
-        for &(m, k, n) in &[(3usize, 5usize, 4usize), (300, 200, 100)] {
-            let a = seq(&[m, k]);
-            let b = seq(&[k, n]);
-            assert_eq!(
-                matmul(&a, &b).unwrap(),
-                old_matmul(&a, &b),
-                "NN {m}x{k}x{n}"
-            );
-            let bt = seq(&[n, k]);
-            assert_eq!(
-                matmul_bt(&a, &bt).unwrap(),
-                old_matmul_bt(&a, &bt),
-                "NT {m}x{k}x{n}"
-            );
-            let at = seq(&[k, m]);
-            assert_eq!(
-                matmul_at(&at, &b).unwrap(),
-                old_matmul_at(&at, &b),
-                "TN {m}x{k}x{n}"
-            );
         }
     }
 

@@ -1,10 +1,11 @@
 //! Cache-blocked, register-tiled f32 GEMM microkernel.
 //!
-//! The naive kernels in [`matmul`](crate::matmul) accumulate each output
-//! element through a single dependent add chain, so they run at the FP-add
-//! *latency* (one multiply-add every ~4 cycles) instead of the FP
-//! *throughput* of the machine. This module is the packed-path replacement:
-//! a BLIS-style blocked GEMM whose inner loop keeps an `MR×NR` tile of
+//! A dot-product GEMM loop accumulates each output element through a single
+//! dependent add chain, so it runs at the FP-add *latency* (one
+//! multiply-add every ~4 cycles) instead of the FP *throughput* of the
+//! machine. This module is the replacement behind the packed inference
+//! paths and [`matmul`](crate::matmul)'s `A · Bᵀ` products: a BLIS-style
+//! blocked GEMM whose inner loop keeps an `MR×NR` tile of
 //! independent accumulators live in registers — `MR·NR/NR_vec` separate add
 //! chains that the CPU can overlap — while A and B stream from contiguous,
 //! tile-major packed panels.
@@ -24,10 +25,11 @@
 //!
 //! ## Bit-identity
 //!
-//! Results are bit-identical (`f32 ==`, with `-0.0 == 0.0`) to the
-//! reference `nt_kernel` dot-product loop, because for every output element
-//! the accumulation is *sequential in `k` starting from `+0.0`* with one
-//! `acc += a·b` rounding step per term — exactly the reference order:
+//! Results are bit-identical (`f32 ==`, with `-0.0 == 0.0`) to a scalar
+//! dot-product loop (the tensor tests' reference), because for every output
+//! element the accumulation is *sequential in `k` starting from `+0.0`*
+//! with one `acc += a·b` rounding step per term — exactly the reference
+//! order:
 //!
 //! * `m`/`n` tiling and the register tile only regroup *independent*
 //!   elements; no element's own sum is ever split or reordered.
@@ -39,9 +41,9 @@
 //!   garbage that is never stored. `k` is never padded or reordered.
 //! * There is **no zero-skip branch** anywhere in this module: packed
 //!   panels are dense by construction, so the branch could only cost; the
-//!   `if aik == 0.0` skip survives solely in the masked-reference kernels
-//!   (`nn`/`tn` in [`matmul`](crate::matmul)), where masked full-width
-//!   operands really are mostly zero.
+//!   `if aik == 0.0` skip survives solely in [`matmul`](crate::matmul)'s
+//!   `A · B` and `Aᵀ · B` loops, whose masked gradient operands really are
+//!   mostly zero.
 //!
 //! Fused epilogues reproduce the downstream ops verbatim: bias is one add
 //! after the finished dot product (as in the masked layers), ReLU is
@@ -60,8 +62,8 @@
 //! packed A block (`MC·KC` ≈ 128 KiB) to L2. See `docs/PERFORMANCE.md` for
 //! the measured effect.
 
-use crate::matmul::GemmSpec;
-use crate::{Result, Shape, Tensor, TensorError};
+use crate::matmul::{gemm_dims, GemmSpec};
+use crate::{Result, Shape, Tensor};
 
 /// Register-tile rows: independent accumulator rows per microkernel call.
 pub const MR: usize = 4;
@@ -273,7 +275,7 @@ fn pack_a_block(
 ///
 /// Every output element is written (first depth block stores, later blocks
 /// read-modify-write), so `out` does not need to be zeroed beforehand.
-/// Results are bit-identical to the reference `nt_kernel` loop — see the
+/// Results are bit-identical to a scalar dot-product loop — see the
 /// module docs for the argument.
 ///
 /// # Panics
@@ -349,48 +351,33 @@ pub fn gemm_packed(
 
 /// Whole-matrix blocked GEMM mirroring [`gemm`](crate::matmul::gemm): packs
 /// B per `spec` and runs [`gemm_packed`]. Results are bit-identical
-/// (`f32 ==`) to the reference kernels for every `GemmSpec` variant — the
-/// property tests assert this; the packed inference paths use the
-/// plan-compiled [`PackedB`] directly instead.
+/// (`f32 ==`) to the scalar reference for every `GemmSpec` variant — the
+/// property tests assert this. [`gemm`](crate::matmul::gemm) routes its
+/// `A · Bᵀ` products with at least [`MR`] rows, and every `Aᵀ · Bᵀ`, here;
+/// the packed inference paths use a plan-compiled [`PackedB`] directly
+/// instead.
 ///
 /// # Errors
 ///
 /// Returns the same rank/inner-dimension errors as
 /// [`gemm`](crate::matmul::gemm).
 pub fn gemm_blocked(a: &Tensor, b: &Tensor, spec: GemmSpec) -> Result<Tensor> {
-    let check2 = |t: &Tensor| -> Result<(usize, usize)> {
-        if t.shape().rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: t.shape().rank(),
-            });
-        }
-        Ok((t.shape().dims()[0], t.shape().dims()[1]))
-    };
-    let (a0, a1) = check2(a)?;
-    let (b0, b1) = check2(b)?;
-    let (m, ka) = if spec.trans_a { (a1, a0) } else { (a0, a1) };
-    let (kb, n) = if spec.trans_b { (b1, b0) } else { (b0, b1) };
-    if ka != kb {
-        return Err(TensorError::InnerDimMismatch {
-            left: ka,
-            right: kb,
-        });
-    }
+    let (m, k, n) = gemm_dims(a, b, spec)?;
     let packed = if spec.trans_b {
-        PackedB::pack_nt(b.data(), n, ka)
+        PackedB::pack_nt(b.data(), n, k)
     } else {
-        PackedB::pack_nn(b.data(), ka, n)
+        PackedB::pack_nn(b.data(), k, n)
     };
+    // the kernel writes every element, so the output's initial contents
+    // never matter
     let mut out = Tensor::zeros(Shape::of(&[m, n]));
-    let mut apack = Vec::new();
     gemm_packed(
         a.data(),
         spec.trans_a,
         &packed,
         out.data_mut(),
         m,
-        &mut apack,
+        &mut Vec::new(),
         Epilogue::None,
     );
     Ok(out)
@@ -400,10 +387,17 @@ pub fn gemm_blocked(a: &Tensor, b: &Tensor, spec: GemmSpec) -> Result<Tensor> {
 mod tests {
     use super::*;
     use crate::init;
-    use crate::matmul::{gemm, matmul_bt};
 
     fn seq(shape: &[usize], seed: u64) -> Tensor {
         init::uniform(Shape::of(shape), -1.0, 1.0, &mut init::rng(seed))
+    }
+
+    /// The scalar reference `A · Bᵀ` for `a: [m, k]`, `b: [n, k]`.
+    fn reference_nt(a: &Tensor, b: &Tensor) -> Tensor {
+        let (m, k) = (a.shape().dims()[0], a.shape().dims()[1]);
+        let n = b.shape().dims()[0];
+        let out = crate::reference::gemm(a.data(), false, b.data(), true, (m, k, n));
+        Tensor::from_vec(Shape::of(&[m, n]), out).unwrap()
     }
 
     #[test]
@@ -418,7 +412,7 @@ mod tests {
         ] {
             let a = seq(&[m, k], 1);
             let b = seq(&[n, k], 2);
-            let reference = matmul_bt(&a, &b).unwrap();
+            let reference = reference_nt(&a, &b);
             let blocked = gemm_blocked(&a, &b, GemmSpec::NT).unwrap();
             assert_eq!(reference, blocked, "NT {m}x{k}x{n}");
         }
@@ -432,9 +426,10 @@ mod tests {
             let b_dims = if spec.trans_b { [n, k] } else { [k, n] };
             let a = seq(&a_dims, 3);
             let b = seq(&b_dims, 4);
-            let reference = gemm(&a, &b, spec).unwrap();
+            let reference =
+                crate::reference::gemm(a.data(), spec.trans_a, b.data(), spec.trans_b, (m, k, n));
             let blocked = gemm_blocked(&a, &b, spec).unwrap();
-            assert_eq!(reference, blocked, "{spec:?}");
+            assert_eq!(blocked.data(), reference.as_slice(), "{spec:?}");
         }
     }
 
@@ -443,7 +438,7 @@ mod tests {
         for &(m, k, n) in &[(0usize, 4usize, 3usize), (4, 0, 3), (4, 3, 0), (0, 0, 0)] {
             let a = seq(&[m, k], 5);
             let b = seq(&[n, k], 6);
-            let reference = matmul_bt(&a, &b).unwrap();
+            let reference = reference_nt(&a, &b);
             let blocked = gemm_blocked(&a, &b, GemmSpec::NT).unwrap();
             assert_eq!(reference, blocked, "{m}x{k}x{n}");
         }
@@ -478,7 +473,7 @@ mod tests {
             &mut apack,
             Epilogue::BiasRelu(&bias),
         );
-        let reference = matmul_bt(&a, &b).unwrap();
+        let reference = reference_nt(&a, &b);
         for i in 0..m {
             for j in 0..n {
                 let z = reference.data()[i * n + j] + bias[j];
@@ -495,7 +490,7 @@ mod tests {
         let a = seq(&[m, k], 9);
         let b = seq(&[n, k], 10);
         assert_eq!(
-            matmul_bt(&a, &b).unwrap(),
+            reference_nt(&a, &b),
             gemm_blocked(&a, &b, GemmSpec::NT).unwrap()
         );
     }
@@ -517,7 +512,7 @@ mod tests {
             &mut apack,
             Epilogue::None,
         );
-        assert_eq!(out.as_slice(), matmul_bt(&a, &b).unwrap().data());
+        assert_eq!(out.as_slice(), reference_nt(&a, &b).data());
     }
 
     #[test]
@@ -527,67 +522,5 @@ mod tests {
         assert_eq!(v, [1.0, 2.0, 0.0, 0.0]);
         grow(&mut v, 1);
         assert_eq!(v, [1.0]);
-    }
-}
-
-#[cfg(test)]
-mod timing {
-    use super::*;
-    use crate::init;
-    use crate::matmul::matmul_bt;
-    use crate::Shape;
-
-    #[test]
-    #[ignore]
-    fn probe() {
-        let (m, k, n) = (16usize, 512usize, 512usize);
-        let a = init::uniform(Shape::of(&[m, k]), -1.0, 1.0, &mut init::rng(1));
-        let b = init::uniform(Shape::of(&[n, k]), -1.0, 1.0, &mut init::rng(2));
-        let packed = PackedB::pack_nt(b.data(), n, k);
-        let mut apack = Vec::new();
-        let mut out = vec![0.0f32; m * n];
-        let reps = 200;
-        // warm
-        for _ in 0..5 {
-            gemm_packed(
-                a.data(),
-                false,
-                &packed,
-                &mut out,
-                m,
-                &mut apack,
-                Epilogue::None,
-            );
-            let _ = matmul_bt(&a, &b).unwrap();
-        }
-        let t = std::time::Instant::now();
-        for _ in 0..reps {
-            gemm_packed(
-                a.data(),
-                false,
-                &packed,
-                &mut out,
-                m,
-                &mut apack,
-                Epilogue::None,
-            );
-        }
-        let blocked_us = t.elapsed().as_secs_f64() * 1e6 / reps as f64;
-        let t = std::time::Instant::now();
-        for _ in 0..reps {
-            let _ = matmul_bt(&a, &b).unwrap();
-        }
-        let naive_us = t.elapsed().as_secs_f64() * 1e6 / reps as f64;
-        // include on-the-fly B packing cost for reference
-        let t = std::time::Instant::now();
-        for _ in 0..reps {
-            let p = PackedB::pack_nt(b.data(), n, k);
-            gemm_packed(a.data(), false, &p, &mut out, m, &mut apack, Epilogue::None);
-        }
-        let pack_us = t.elapsed().as_secs_f64() * 1e6 / reps as f64;
-        println!(
-            "naive {naive_us:.1}us blocked {blocked_us:.1}us (x{:.2}) blocked+pack {pack_us:.1}us",
-            naive_us / blocked_us
-        );
     }
 }

@@ -6,27 +6,24 @@
 //! rows/columns into small contiguous panels, run a dense NT GEMM on them,
 //! and *scatter* the result back to full-width buffers.
 //!
-//! Two GEMM entry points exist: [`gemm_nt_into`]/[`gemm_nt_slice`] run the
-//! exact reference dot-product loop behind
-//! [`matmul_bt`](crate::matmul::matmul_bt) (kept as the test oracle), while
-//! [`gemm_packed_nt_into`]/[`gemm_packed_nt_slice`] run the blocked,
-//! register-tiled [`microkernel`](crate::microkernel) against a pre-packed
+//! The GEMM entry points [`gemm_packed_nt_into`]/[`gemm_packed_nt_slice`]
+//! run the blocked, register-tiled [`microkernel`] against a pre-packed
 //! weight panel with an optional fused bias/activation epilogue — the hot
 //! inference path.
 //!
 //! ## Bit-identity contract
 //!
-//! Both entry points accumulate every output element sequentially in `k`
-//! from `+0.0`, one rounding step per term — the identical per-element
-//! order as the dense loop (see [`microkernel`](crate::microkernel) for the
-//! blocked kernel's argument). As long as the gathered indices are in
-//! ascending order, the surviving terms of each dot product are accumulated
-//! in the same order as the dense path; the dropped terms are all exact
-//! `±0.0` products, which can only affect the *sign* of a zero accumulator,
-//! never a nonzero value. Results are therefore equal under `f32`
-//! comparison (`-0.0 == 0.0`) to the masked dense path — the property
-//! tests in `crates/core/tests` and `tests/` assert this across random
-//! assignments.
+//! The microkernel accumulates every output element sequentially in `k`
+//! from `+0.0`, one rounding step per term — the same per-element order as
+//! the scalar reference the tensor property tests check it against, and as
+//! the dense [`matmul_bt`](crate::matmul::matmul_bt) path. As long as the
+//! gathered indices are in ascending order, the surviving terms of each dot
+//! product are accumulated in the same order as the dense path; the
+//! dropped terms are all exact `±0.0` products, which can only affect the
+//! *sign* of a zero accumulator, never a nonzero value. Results are
+//! therefore equal under `f32` comparison (`-0.0 == 0.0`) to the masked
+//! dense path — the property tests in `crates/core/tests` and `tests/`
+//! assert this across random assignments.
 //!
 //! All `*_into` entry points write into caller-owned `Vec<f32>` scratch
 //! buffers ([`PackScratch`]) so steady-state inference does zero heap
@@ -34,8 +31,7 @@
 //! mark, and no redundant zero-fill either: buffers whose every element is
 //! overwritten are grown with [`microkernel::grow`] instead of re-zeroed.
 
-use crate::conv::ConvGeometry;
-use crate::matmul::nt_kernel;
+use crate::conv::{copy_run, in_bounds, ConvGeometry};
 use crate::microkernel::{self, Epilogue, PackedB};
 use crate::{Result, Shape, Tensor, TensorError};
 
@@ -105,25 +101,6 @@ pub fn scatter_columns(src: &[f32], rows: usize, idx: &[usize], dst: &mut [f32],
     }
 }
 
-/// `C = A · Bᵀ` on raw packed panels, writing into a reusable buffer.
-///
-/// `a` is `[m, k]`, `b` is `[n, k]`, and `out` is resized to `[m, n]`. Runs
-/// the exact kernel behind [`matmul_bt`](crate::matmul::matmul_bt), so the
-/// per-element accumulation order matches the dense path bit for bit.
-///
-/// This is the *reference* packed entry point (and the oracle the blocked
-/// kernel is tested against); the hot inference paths use
-/// [`gemm_packed_nt_into`] with a plan-compiled [`PackedB`] instead.
-///
-/// # Panics
-///
-/// Panics if `a` or `b` is shorter than its implied extent.
-pub fn gemm_nt_into(a: &[f32], b: &[f32], out: &mut Vec<f32>, m: usize, k: usize, n: usize) {
-    out.clear();
-    out.resize(m * n, 0.0);
-    gemm_nt_slice(a, b, out, m, k, n);
-}
-
 /// `C = A · Bᵀ` through the blocked, register-tiled microkernel
 /// ([`microkernel::gemm_packed`]), writing into a reusable buffer that is
 /// grown without re-zeroing (the kernel overwrites every element).
@@ -131,8 +108,8 @@ pub fn gemm_nt_into(a: &[f32], b: &[f32], out: &mut Vec<f32>, m: usize, k: usize
 /// `a` is `[m, b.k()]`, `b` is the pre-packed weight panel, `a_pack` is the
 /// A-packing scratch (typically [`PackScratch::a_pack`]), and `epi` fuses
 /// bias/activation into the final tile store. Bit-identical to
-/// [`gemm_nt_into`] + a separate bias/activation pass — see
-/// [`microkernel`] for the argument.
+/// [`matmul_bt`](crate::matmul::matmul_bt) + a separate bias/activation
+/// pass — see [`microkernel`] for the argument.
 ///
 /// # Panics
 ///
@@ -165,19 +142,6 @@ pub fn gemm_packed_nt_slice(
     epi: Epilogue,
 ) {
     microkernel::gemm_packed(a, false, b, out, m, a_pack, epi);
-}
-
-/// [`gemm_nt_into`] writing into a caller-sized slice (`out.len() == m * n`)
-/// — used when the result lands directly in a pre-allocated [`Tensor`].
-///
-/// # Panics
-///
-/// Panics if any slice is shorter than its implied extent.
-pub fn gemm_nt_slice(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    assert!(a.len() >= m * k, "packed A panel too short");
-    assert!(b.len() >= n * k, "packed B panel too short");
-    assert_eq!(out.len(), m * n, "packed output extent mismatch");
-    nt_kernel(&a[..m * k], &b[..n * k], out, m, k, n);
 }
 
 /// Unfolds the listed input channels of an NCHW tensor into an `im2col`
@@ -219,35 +183,38 @@ pub fn im2col_channels_into(
             "channel index {bad} out of range for {c} input channels"
         )));
     }
-    let window = geom.kernel_h * geom.kernel_w;
-    let patch = channels.len() * window;
-    let rows = n * geom.positions();
-    // the loops below write every entry (padding positions explicitly), so
-    // retained capacity is not re-zeroed
-    microkernel::grow(dst, rows * patch);
+    let (kh, kw) = (geom.kernel_h, geom.kernel_w);
+    let patch = channels.len() * kh * kw;
+    // every entry is written below (padding explicitly), so retained
+    // capacity is not re-zeroed
+    microkernel::grow(dst, n * geom.positions() * patch);
+    if patch == 0 {
+        return Ok(());
+    }
     let src = input.data();
     let pad = geom.padding as isize;
+    let mut patches = dst.chunks_exact_mut(patch);
     for b in 0..n {
         for oy in 0..geom.out_h {
+            let iy0 = (oy * geom.stride) as isize - pad;
+            let (ky_lo, ky_hi) = in_bounds(iy0, kh, h);
             for ox in 0..geom.out_w {
-                let row = (b * geom.positions() + oy * geom.out_w + ox) * patch;
-                let iy0 = (oy * geom.stride) as isize - pad;
                 let ix0 = (ox * geom.stride) as isize - pad;
-                let mut col = 0;
-                for &ch in channels {
-                    let base = (b * c + ch) * h * w;
-                    for ky in 0..geom.kernel_h {
-                        let iy = iy0 + ky as isize;
-                        for kx in 0..geom.kernel_w {
-                            let ix = ix0 + kx as isize;
-                            dst[row + col] =
-                                if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
-                                    src[base + iy as usize * w + ix as usize]
-                                } else {
-                                    0.0
-                                };
-                            col += 1;
+                let (lo, hi) = in_bounds(ix0, kw, w);
+                let row = patches.next().expect("one patch row per position");
+                for (&ch, window) in channels.iter().zip(row.chunks_exact_mut(kh * kw)) {
+                    let plane = &src[(b * c + ch) * h * w..(b * c + ch + 1) * h * w];
+                    for (ky, run) in window.chunks_exact_mut(kw).enumerate() {
+                        if ky < ky_lo || ky >= ky_hi || lo == hi {
+                            run.fill(0.0);
+                            continue;
                         }
+                        let start = (iy0 + ky as isize) as usize * w + (ix0 + lo as isize) as usize;
+                        if hi - lo < kw {
+                            // a border window: zero the padding part too
+                            run.fill(0.0);
+                        }
+                        copy_run(&mut run[lo..hi], &plane[start..start + hi - lo]);
                     }
                 }
             }
@@ -292,7 +259,6 @@ mod tests {
     use super::*;
     use crate::conv::im2col;
     use crate::init;
-    use crate::matmul::matmul_bt;
 
     #[test]
     fn gather_scatter_roundtrip() {
@@ -303,16 +269,6 @@ mod tests {
         let mut dst = vec![0.0; 6];
         scatter_columns(&packed, 2, &[0, 2], &mut dst, 3);
         assert_eq!(dst, vec![1.0, 0.0, 3.0, 4.0, 0.0, 6.0]);
-    }
-
-    #[test]
-    fn gemm_nt_into_matches_matmul_bt() {
-        let a = init::uniform(Shape::of(&[3, 5]), -1.0, 1.0, &mut init::rng(7));
-        let b = init::uniform(Shape::of(&[4, 5]), -1.0, 1.0, &mut init::rng(8));
-        let dense = matmul_bt(&a, &b).unwrap();
-        let mut out = Vec::new();
-        gemm_nt_into(a.data(), b.data(), &mut out, 3, 5, 4);
-        assert_eq!(out.as_slice(), dense.data());
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Property-based tests of the tensor substrate: algebraic identities that
 //! must hold for arbitrary shapes and values.
 
+mod reference;
+
 use proptest::prelude::*;
 use stepping_tensor::conv::{col2im, im2col, ConvGeometry};
 use stepping_tensor::matmul::GemmSpec;
@@ -25,6 +27,44 @@ fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
         }
     }
     out
+}
+
+/// `(im2col(x), col2im(y))` for `batch` NCHW images, one element at a time:
+/// every patch entry is bounds-checked on its own, and the fold adds patch
+/// rows in row order.
+fn im2col_col2im_reference(
+    x: &[f32],
+    y: &[f32],
+    batch: usize,
+    g: &ConvGeometry,
+) -> (Vec<f32>, Vec<f32>) {
+    let (c, h, w) = (g.in_channels, g.in_h, g.in_w);
+    let patch = g.patch_len();
+    let mut cols = vec![0.0f32; batch * g.positions() * patch];
+    let mut img = vec![0.0f32; batch * c * h * w];
+    for b in 0..batch {
+        for oy in 0..g.out_h {
+            for ox in 0..g.out_w {
+                let row = (b * g.positions() + oy * g.out_w + ox) * patch;
+                let mut col = 0;
+                for ch in 0..c {
+                    for ky in 0..g.kernel_h {
+                        for kx in 0..g.kernel_w {
+                            let iy = (oy * g.stride + ky) as isize - g.padding as isize;
+                            let ix = (ox * g.stride + kx) as isize - g.padding as isize;
+                            if (0..h as isize).contains(&iy) && (0..w as isize).contains(&ix) {
+                                let at = ((b * c + ch) * h + iy as usize) * w + ix as usize;
+                                cols[row + col] = x[at];
+                                img[at] += y[row + col];
+                            }
+                            col += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    (cols, img)
 }
 
 proptest! {
@@ -121,13 +161,14 @@ proptest! {
         prop_assert!((lhs - rhs).abs() / scale < 1e-4, "{} vs {}", lhs, rhs);
     }
 
-    /// The blocked, register-tiled microkernel must be bit-identical
-    /// (`f32 ==`, not approximate) to the reference streaming kernels for
-    /// every transpose variant, including shapes that are ragged against
-    /// the MR/NR register tile and deep enough to force a Kc partial-sum
-    /// spill, plus fully degenerate extents.
+    /// [`matmul::gemm`] and the blocked microkernel must both be
+    /// bit-identical (`f32 ==`, not approximate) to the scalar reference for
+    /// every transpose variant: row counts on both sides of `gemm`'s `MR`
+    /// dispatch boundary, shapes ragged against the MR/NR register tile and
+    /// deep enough to force a Kc partial-sum spill, plus fully degenerate
+    /// extents.
     #[test]
-    fn blocked_gemm_bit_identical_to_reference(
+    fn gemm_and_blocked_bit_identical_to_reference(
         m in 0usize..21, k in 0usize..280, n in 0usize..21,
         which in 0usize..4,
         seed in 0u64..10_000,
@@ -138,9 +179,32 @@ proptest! {
         let mut rng = stepping_tensor::init::rng(seed);
         let a = stepping_tensor::init::uniform(Shape::of(&a_dims), -2.0, 2.0, &mut rng);
         let b = stepping_tensor::init::uniform(Shape::of(&b_dims), -2.0, 2.0, &mut rng);
-        let reference = matmul::gemm(&a, &b, spec).unwrap();
+        let want = reference::gemm(a.data(), spec.trans_a, b.data(), spec.trans_b, (m, k, n));
+        let via_gemm = matmul::gemm(&a, &b, spec).unwrap();
+        prop_assert_eq!(via_gemm.data(), want.as_slice(), "gemm {:?} {}x{}x{}", spec, m, k, n);
         let blocked = gemm_blocked(&a, &b, spec).unwrap();
-        prop_assert_eq!(reference, blocked, "{:?} {}x{}x{}", spec, m, k, n);
+        prop_assert_eq!(blocked.data(), want.as_slice(), "blocked {:?} {}x{}x{}", spec, m, k, n);
+    }
+
+    /// `im2col` and `col2im` are pure data movement: equal bit for bit to
+    /// a per-element gather and scatter-add, including windows that overhang
+    /// the padding on every side.
+    #[test]
+    fn im2col_col2im_match_per_element_reference(
+        c in 1usize..4, h in 1usize..8, w in 1usize..8,
+        kh in 1usize..4, kw in 1usize..4, stride in 1usize..3, pad in 0usize..4,
+        seed in 0u64..10_000,
+    ) {
+        prop_assume!(h + 2 * pad >= kh && w + 2 * pad >= kw);
+        let geom = ConvGeometry::new(c, h, w, kh, kw, stride, pad).unwrap();
+        let mut rng = stepping_tensor::init::rng(seed);
+        let x = stepping_tensor::init::uniform(Shape::of(&[2, c, h, w]), -1.0, 1.0, &mut rng);
+        let y = stepping_tensor::init::uniform(
+            Shape::of(&[2 * geom.positions(), geom.patch_len()]), -1.0, 1.0, &mut rng);
+        let (want_cols, want_img) = im2col_col2im_reference(x.data(), y.data(), 2, &geom);
+        let (cols, img) = (im2col(&x, &geom).unwrap(), col2im(&y, 2, &geom).unwrap());
+        prop_assert_eq!(cols.data(), want_cols.as_slice());
+        prop_assert_eq!(img.data(), want_img.as_slice());
     }
 
     /// Fused bias/activation epilogues must equal the unfused sequence

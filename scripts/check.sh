@@ -14,6 +14,12 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+# Every crate's own suites, which the root package's tests do not reach:
+# the tensor blocked == reference proptests, core packed == masked, exec
+# 1 == N thread bit-identity, the lint workspace-clean test, and the rest.
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q
+
 # Static analysis: the six workspace invariants (plan-epoch, shard-safety,
 # determinism zones, panic/lock discipline, telemetry registry). Warnings
 # are errors here, matching the clippy leg.

@@ -11,12 +11,8 @@
 //!
 //! ## Dispatch
 //!
-//! * `A · Bᵀ` with at least [`MR`] rows, and every `Aᵀ · Bᵀ`, runs the
-//!   blocked, register-tiled [`microkernel`](crate::microkernel) with `B`
-//!   packed per call.
-//! * `A · Bᵀ` with fewer than [`MR`] rows streams one dot product per
-//!   element: at one row, packing `B` costs more than the tile saves (see
-//!   `docs/PERFORMANCE.md`).
+//! * `A · Bᵀ` and `Aᵀ · Bᵀ` run the blocked, register-tiled
+//!   [`microkernel`](crate::microkernel) with `B` packed per call.
 //! * `A · B` and `Aᵀ · B` keep outer-product loops that skip zero `A`
 //!   entries: in training they multiply masked gradients, which after ReLU
 //!   and max-pool are mostly zeros.
@@ -27,7 +23,7 @@
 //! here spawns threads: data parallelism belongs to the `stepping-exec`
 //! shards that call these kernels.
 
-use crate::microkernel::{gemm_blocked, MR};
+use crate::microkernel::gemm_blocked;
 use crate::{Result, Shape, Tensor, TensorError};
 
 /// Cache block size (elements) for the `A · B` k-loop; tuned for
@@ -125,7 +121,6 @@ pub fn gemm(a: &Tensor, b: &Tensor, spec: GemmSpec) -> Result<Tensor> {
             nn_kernel(ad, bd, out.data_mut(), m, k, n);
             out
         }
-        (false, true) if m < MR => nt_stream(ad, bd, m, k, n),
         (true, false) => {
             let mut out = Tensor::zeros(Shape::of(&[m, n]));
             tn_kernel(ad, bd, out.data_mut(), m, k, n);
@@ -175,25 +170,6 @@ fn nn_kernel(ad: &[f32], bd: &[f32], od: &mut [f32], m: usize, ka: usize, n: usi
             }
         }
     }
-}
-
-/// `C = A · Bᵀ` for a few rows: one dot product per element, both operands
-/// row-major over `k`. The result `Vec` is built by `push` in row-major
-/// order instead of zero-filling `m * n` floats first.
-fn nt_stream(ad: &[f32], bd: &[f32], m: usize, ka: usize, n: usize) -> Tensor {
-    let mut data = Vec::with_capacity(m * n);
-    for i in 0..m {
-        let arow = &ad[i * ka..(i + 1) * ka];
-        for j in 0..n {
-            let brow = &bd[j * ka..(j + 1) * ka];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                acc += av * bv;
-            }
-            data.push(acc);
-        }
-    }
-    Tensor::from_vec(Shape::of(&[m, n]), data).expect("extent matches shape")
 }
 
 /// `C = Aᵀ · B`: outer-product accumulation over `k`, skipping zero `A`
@@ -372,9 +348,10 @@ mod tests {
     }
 
     /// Every spec, with row counts on both sides of the blocked kernel's
-    /// `MR` dispatch boundary, equals the scalar reference bit for bit.
+    /// `MR`-row register tile, equals the scalar reference bit for bit.
     #[test]
     fn gemm_bit_identical_to_scalar_reference() {
+        use crate::microkernel::MR;
         for &(m, k, n) in &[
             (1usize, 5usize, 4usize),
             (MR - 1, 70, 9),

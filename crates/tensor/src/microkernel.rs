@@ -353,9 +353,8 @@ pub fn gemm_packed(
 /// B per `spec` and runs [`gemm_packed`]. Results are bit-identical
 /// (`f32 ==`) to the scalar reference for every `GemmSpec` variant — the
 /// property tests assert this. [`gemm`](crate::matmul::gemm) routes its
-/// `A · Bᵀ` products with at least [`MR`] rows, and every `Aᵀ · Bᵀ`, here;
-/// the packed inference paths use a plan-compiled [`PackedB`] directly
-/// instead.
+/// `A · Bᵀ` and `Aᵀ · Bᵀ` products here; the packed inference paths use a
+/// plan-compiled [`PackedB`] directly instead.
 ///
 /// # Errors
 ///
@@ -368,8 +367,10 @@ pub fn gemm_blocked(a: &Tensor, b: &Tensor, spec: GemmSpec) -> Result<Tensor> {
     } else {
         PackedB::pack_nn(b.data(), k, n)
     };
-    // the kernel writes every element, so the output's initial contents
-    // never matter
+    // The kernel writes every element before reading any back, but safe
+    // Rust cannot hand it uninitialised memory. `Tensor::zeros` uses the
+    // zeroed allocator, which can skip the fill on fresh pages; `grow` on
+    // an empty `Vec` would always write the zeros.
     let mut out = Tensor::zeros(Shape::of(&[m, n]));
     gemm_packed(
         a.data(),

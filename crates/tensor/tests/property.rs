@@ -163,10 +163,9 @@ proptest! {
 
     /// [`matmul::gemm`] and the blocked microkernel must both be
     /// bit-identical (`f32 ==`, not approximate) to the scalar reference for
-    /// every transpose variant: row counts on both sides of `gemm`'s `MR`
-    /// dispatch boundary, shapes ragged against the MR/NR register tile and
-    /// deep enough to force a Kc partial-sum spill, plus fully degenerate
-    /// extents.
+    /// every transpose variant: shapes ragged against the MR/NR register
+    /// tile and deep enough to force a Kc partial-sum spill, plus fully
+    /// degenerate extents.
     #[test]
     fn gemm_and_blocked_bit_identical_to_reference(
         m in 0usize..21, k in 0usize..280, n in 0usize..21,

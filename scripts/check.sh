@@ -78,7 +78,8 @@ echo "==> stepping-router crate tests"
 cargo test -q -p stepping-router --features metrics
 
 # Packed-plan smoke run: asserts packed/masked logits bit-identity and the
-# >=2x subnet-0 speedup on the bench MLP, and refreshes BENCH_plans.json.
+# >=2x subnet-0 speedup on the bench MLP and conv net, and refreshes
+# BENCH_plans.json.
 echo "==> packed-plan bench smoke (plans)"
 STEPPING_PLANS_REPS=5 cargo run -q --release -p stepping-bench --bin plans
 
